@@ -1,7 +1,7 @@
 //! Diagnostic probe: per-engine trial-latency sums for one benchmark,
 //! replicating exactly the measurement `repro baseline` folds into its
 //! `vm_instrs_per_sec` columns (sum of per-trial latencies around the
-//! amortized engine entry point). Useful for separating real engine
+//! campaign's engine entry point). Useful for separating real engine
 //! regressions from host scheduler noise or link-time code-layout
 //! swings: this binary and `repro` link the same sources, so a large
 //! disagreement between the two on the same machine is layout/noise,

@@ -66,6 +66,31 @@ use peppa_vm::EngineKind;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Every experiment `repro` runs, in the order `all` runs them.
+const EXPERIMENTS: &[&str] = &[
+    "fig1",
+    "table2",
+    "fig2",
+    "table3",
+    "table4",
+    "table5",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table6",
+    "fig9",
+    "static-rank",
+    "hybrid",
+    "precision",
+    "provenance",
+    "snapshot",
+    "optstudy",
+    "faultmodel",
+    "ablation",
+    "baseline",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -136,33 +161,24 @@ fn main() {
             other => experiments.push(other.to_string()),
         }
     }
-    if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "fig1",
-            "table2",
-            "fig2",
-            "table3",
-            "table4",
-            "table5",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "table6",
-            "fig9",
-            "static-rank",
-            "hybrid",
-            "precision",
-            "provenance",
-            "snapshot",
-            "optstudy",
-            "faultmodel",
-            "ablation",
-            "baseline",
-        ]
+    // Reject a misspelt experiment before running anything, so a typo
+    // in a scripted invocation fails instead of silently doing less.
+    let unknown: Vec<&str> = experiments
         .iter()
-        .map(|s| s.to_string())
+        .map(String::as_str)
+        .filter(|e| *e != "all" && !EXPERIMENTS.contains(e))
         .collect();
+    if !unknown.is_empty() || experiments.is_empty() {
+        if experiments.is_empty() {
+            eprintln!("repro: no experiment given");
+        } else {
+            eprintln!("repro: unknown experiment(s): {}", unknown.join(", "));
+        }
+        eprintln!("valid experiments: {} all", EXPERIMENTS.join(" "));
+        std::process::exit(2);
+    }
+    if experiments.iter().any(|e| e == "all") {
+        experiments = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
 
     let mut ctx = Ctx::new(scale, seed);
@@ -383,9 +399,7 @@ fn main() {
                 println!("{}", render::render_ablation(&r));
                 dump("ablation", serde_json::to_string_pretty(&r).unwrap());
             }
-            other => {
-                eprintln!("[repro] unknown experiment `{other}` — skipping");
-            }
+            other => unreachable!("experiment `{other}` was validated above"),
         }
         eprintln!("[repro] {exp} done in {:.1}s\n", t0.elapsed().as_secs_f64());
     }

@@ -98,10 +98,8 @@ pub fn derive_sdc_scores(
     }
 
     // Cost: each trial re-executes the program on the FI input.
-    let vm = peppa_vm::Vm::new(&bench.module, limits);
-    let golden = vm.run_numeric(fi_input, None);
-    let cost =
-        measured.total_trials.saturating_mul(golden.profile.dynamic) + golden.profile.dynamic;
+    let dynamic = measured.golden_dynamic;
+    let cost = measured.total_trials.saturating_mul(dynamic) + dynamic;
 
     Ok(SdcScores {
         score: raw,

@@ -17,7 +17,7 @@ use peppa_obs::{Event, NullObserver, Observer, Outcome as ObsOutcome};
 use peppa_stats::{binomial_ci, ci::Z_95, BinomialCi, Pcg64};
 use peppa_vm::{
     encode_inputs, CompiledModule, Engine, EngineKind, ExecHook, ExecLimits, Injection,
-    InjectionTarget, ResumeScratch, RunOutput, TrialResume, Vm,
+    InjectionTarget, RunOutput, TrialResume, Vm,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -420,7 +420,7 @@ fn campaign_impl(
     let mut outcomes = vec![FaultOutcome::Benign; cfg.trials as usize];
     let skipped = std::sync::atomic::AtomicU64::new(0);
 
-    let run_trial = |t: u32, scratch: &mut ResumeScratch| -> TrialReport {
+    let run_trial = |t: u32| -> TrialReport {
         // Per-trial stream independent of scheduling. The fault is
         // sampled before the skip decision, so pruning never changes
         // which fault a trial measures.
@@ -446,7 +446,7 @@ fn campaign_impl(
         }
         let eng = Engine::new(module, faulty_limits, code.as_ref());
         let t0 = Instant::now();
-        let faulty = eng.run_numeric_amortized(scratch, inputs, Some(inj));
+        let faulty = eng.run_numeric(inputs, Some(inj));
         let latency_ns = t0.elapsed().as_nanos() as u64;
         TrialReport {
             trial: t,
@@ -459,9 +459,8 @@ fn campaign_impl(
     };
 
     if nthreads <= 1 {
-        let mut scratch = ResumeScratch::new();
         for (t, slot) in outcomes.iter_mut().enumerate() {
-            let report = run_trial(t as u32, &mut scratch);
+            let report = run_trial(t as u32);
             report.emit(observer);
             *slot = report.outcome;
         }
@@ -475,9 +474,8 @@ fn campaign_impl(
                 let run_trial = &run_trial;
                 let tx = tx.clone();
                 s.spawn(move |_| {
-                    let mut scratch = ResumeScratch::new();
                     for (off, slot) in chunk_slice.iter_mut().enumerate() {
-                        let report = run_trial((ci * chunk + off) as u32, &mut scratch);
+                        let report = run_trial((ci * chunk + off) as u32);
                         *slot = report.outcome;
                         // The receiver outlives the scope; send only
                         // fails if the collector was dropped, in which
@@ -725,7 +723,7 @@ pub fn run_campaign_snapshotted_observed(
     let masks =
         (snap.converge_exit && !snaps.is_empty()).then(|| peppa_analysis::converge_masks(module));
 
-    let run_trial = |t: u32, scratch: &mut ResumeScratch| -> TrialReport {
+    let run_trial = |t: u32| -> TrialReport {
         let inj = injections[t as usize];
         let site = sites[t as usize];
         let eng = Engine::new(module, faulty_limits, code.as_ref());
@@ -744,7 +742,6 @@ pub fn run_campaign_snapshotted_observed(
                     &[]
                 };
                 match eng.resume_trial_amortized(
-                    scratch,
                     &snaps[i],
                     Some(inj),
                     later,
@@ -790,9 +787,8 @@ pub fn run_campaign_snapshotted_observed(
     let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
     let mut outcomes = vec![FaultOutcome::Benign; cfg.trials as usize];
     if nthreads <= 1 {
-        let mut scratch = ResumeScratch::new();
         for (t, slot) in outcomes.iter_mut().enumerate() {
-            let report = run_trial(t as u32, &mut scratch);
+            let report = run_trial(t as u32);
             report.emit(observer);
             *slot = report.outcome;
         }
@@ -804,9 +800,8 @@ pub fn run_campaign_snapshotted_observed(
                 let run_trial = &run_trial;
                 let tx = tx.clone();
                 s.spawn(move |_| {
-                    let mut scratch = ResumeScratch::new();
                     for (off, slot) in chunk_slice.iter_mut().enumerate() {
-                        let report = run_trial((ci * chunk + off) as u32, &mut scratch);
+                        let report = run_trial((ci * chunk + off) as u32);
                         *slot = report.outcome;
                         // The receiver outlives the scope; send only
                         // fails if the collector was dropped, in which

@@ -47,6 +47,8 @@ pub struct PerInstrResult {
     pub total_trials: u64,
     /// Program executions consumed (trials + golden).
     pub executions: u64,
+    /// Dynamic instruction count of the golden run on the measured input.
+    pub golden_dynamic: u64,
 }
 
 impl PerInstrResult {
@@ -161,6 +163,7 @@ pub fn per_instruction_sdc(
         sdc_prob,
         total_trials,
         executions: total_trials + 1,
+        golden_dynamic: golden.profile.dynamic,
     })
 }
 

@@ -3,7 +3,7 @@
 //! Used to sanity-check engine performance without a full campaign
 //! (`cargo run --release -p peppa-vm --example golden_speed`).
 
-use peppa_vm::{CompiledModule, Engine, EngineKind, ExecLimits, ResumeScratch};
+use peppa_vm::{CompiledModule, Engine, ExecLimits};
 use std::time::Instant;
 
 fn main() {
@@ -17,17 +17,15 @@ fn main() {
         let reps = (30_000_000 / dynamic.max(1)).clamp(3, 200) as u32;
         let mut times = [0f64; 2];
         for (i, eng) in [&interp, &compiled].iter().enumerate() {
-            // Campaign-mode timing: trials reuse a per-worker scratch
-            // (a no-op on the interpreter, which has no amortized path).
-            let mut scratch = ResumeScratch::new();
+            // Campaign-mode timing: each run starts from the globals
+            // image and grows memory only as far as it touches.
             let t0 = Instant::now();
             for _ in 0..reps {
-                let out = eng.run_numeric_amortized(&mut scratch, &bench.reference_input, None);
+                let out = eng.run_numeric(&bench.reference_input, None);
                 assert_eq!(out.output, golden.output);
             }
             times[i] = t0.elapsed().as_secs_f64() / reps as f64;
         }
-        let _ = EngineKind::Interp;
         println!(
             "{:16} dyn {:>9}  interp {:7.2} ns/i  compiled {:7.2} ns/i  ratio {:5.2}x",
             bench.name,

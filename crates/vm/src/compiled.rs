@@ -26,11 +26,11 @@
 
 use crate::exec::{
     canon, exec_bin, exec_cast, exec_fcmp as fcmp, exec_icmp as icmp, exec_un, flip_bits,
-    ExecLimits, Injection, InjectionTarget, ResumeScratch, RunEnd, RunOutput, RunStatus, Stop,
-    Trap,
+    trial_result, ExecLimits, Injection, InjectionTarget, RunEnd, RunOutput, Stop, Trap,
 };
 use crate::hooks::{ExecHook, NoHook};
 use crate::lower::{Bc, CompiledFunc, CompiledModule, NO_REG};
+use crate::memory::Memory;
 use crate::profile::Profile;
 use crate::snapshot::{mask_contains, ConvergeMasks, ReadSets, SnapData, TrialResume, VmSnapshot};
 use peppa_ir::{FuncId, Instr, Module, Term};
@@ -87,8 +87,7 @@ struct CMachine<'m, H: ExecHook> {
     module: &'m Module,
     code: &'m CompiledModule,
     limits: ExecLimits,
-    memory: Vec<u64>,
-    hwm: usize,
+    mem: Memory,
     stack_ptr: u64,
     profile: Profile,
     output: Vec<u64>,
@@ -208,26 +207,6 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
         self.inj_vd = u64::MAX;
         self.static_pending = false;
         flipped
-    }
-
-    #[inline(always)]
-    fn mem_read(&self, addr: u64) -> Result<u64, Stop> {
-        if addr == 0 || addr >= self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::OutOfBounds { addr }));
-        }
-        Ok(unsafe { *self.memory.get_unchecked(addr as usize) })
-    }
-
-    #[inline(always)]
-    fn mem_write(&mut self, addr: u64, value: u64) -> Result<(), Stop> {
-        if addr == 0 || addr >= self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::OutOfBounds { addr }));
-        }
-        unsafe { *self.memory.get_unchecked_mut(addr as usize) = value };
-        if addr as usize >= self.hwm {
-            self.hwm = addr as usize + 1;
-        }
-        Ok(())
     }
 
     /// Pushes a callee frame: one bump of the register arena plus a
@@ -427,16 +406,9 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
             }
         }
         if let Some(set) = read_sets.and_then(|r| r.set_at(cp.value_dynamic)) {
-            return set
-                .iter()
-                .all(|&a| self.memory[a as usize] == cp.mem.get(a as usize).copied().unwrap_or(0));
+            return self.mem.matches_on(&cp.mem, set);
         }
-        if self.memory[..cp.hwm] != cp.mem[..] {
-            return false;
-        }
-        self.memory[cp.hwm..self.hwm.max(cp.hwm)]
-            .iter()
-            .all(|&w| w == 0)
+        self.mem.matches(&cp.mem)
     }
 
     /// The driver: outer loop owns frame pushes/pops and the boundary
@@ -642,7 +614,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                                     }
                                     Bc::Load { ty, dst, addr } => {
                                         dynamic += 1;
-                                        match self.mem_read(rd(regs, addr)) {
+                                        match self.mem.read(rd(regs, addr)) {
                                             Ok(w) => {
                                                 vd += 1;
                                                 wr(regs, dst, canon(ty, w));
@@ -653,7 +625,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                                     }
                                     Bc::Store { addr, val } => {
                                         dynamic += 1;
-                                        match self.mem_write(rd(regs, addr), rd(regs, val)) {
+                                        match self.mem.write(rd(regs, addr), rd(regs, val)) {
                                             Ok(()) => pc += 1,
                                             Err(e) => turbo_trap!(e),
                                         }
@@ -694,7 +666,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                                         vd += 1;
                                         wr(regs, gep_dst, p);
                                         dynamic += 1;
-                                        match self.mem_read(p) {
+                                        match self.mem.read(p) {
                                             Ok(w) => {
                                                 vd += 1;
                                                 wr(regs, dst, canon(ty, w));
@@ -714,7 +686,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                                         vd += 1;
                                         wr(regs, gep_dst, p);
                                         dynamic += 1;
-                                        match self.mem_write(p, rd(regs, val)) {
+                                        match self.mem.write(p, rd(regs, val)) {
                                             Ok(()) => pc += 2,
                                             Err(e) => turbo_trap!(e),
                                         }
@@ -864,7 +836,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                         Bc::Load { ty, dst, addr } => {
                             let timer = self.begin(fid, cf, pc)?;
                             let p = rd(regs, addr);
-                            let word = self.mem_read(p)?;
+                            let word = self.mem.read(p)?;
                             if H::ENABLED {
                                 let ins = self.instr_at(fid, pc);
                                 self.hook.mem_load(ins, p, word);
@@ -877,7 +849,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                             let timer = self.begin(fid, cf, pc)?;
                             let p = rd(regs, addr);
                             let v = rd(regs, val);
-                            self.mem_write(p, v)?;
+                            self.mem.write(p, v)?;
                             if H::ENABLED {
                                 let ins = self.instr_at(fid, pc);
                                 self.hook.mem_store(ins, p, v);
@@ -1113,7 +1085,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                             }
                             let timer = self.begin(fid, cf, pc + 1)?;
                             let p = rd(regs, gep_dst);
-                            let word = self.mem_read(p)?;
+                            let word = self.mem.read(p)?;
                             if H::ENABLED {
                                 let ins = self.instr_at(fid, pc + 1);
                                 self.hook.mem_load(ins, p, word);
@@ -1139,7 +1111,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                             let timer = self.begin(fid, cf, pc + 1)?;
                             let p = rd(regs, gep_dst);
                             let v = rd(regs, val);
-                            self.mem_write(p, v)?;
+                            self.mem.write(p, v)?;
                             if H::ENABLED {
                                 let ins = self.instr_at(fid, pc + 1);
                                 self.hook.mem_store(ins, p, v);
@@ -1205,7 +1177,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                     let freed = frame_sp as usize..self.stack_ptr as usize;
                     if !freed.is_empty() {
                         let len = (freed.end - freed.start) as u64;
-                        self.memory[freed].fill(0);
+                        self.mem.clear(freed);
                         if H::ENABLED {
                             self.hook.mem_clear(frame_sp, len);
                         }
@@ -1244,21 +1216,10 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
 
     /// Alloca with the interpreter's exact trap/high-water semantics.
     fn alloca(&mut self, _fid: FuncId, _pc: usize, words: u64) -> Result<u64, Stop> {
-        let w = words as i64;
-        if w < 0 {
-            return Err(Stop::Trap(Trap::StackOverflow));
-        }
         let base = self.stack_ptr;
-        let end = base
-            .checked_add(w as u64)
-            .ok_or(Stop::Trap(Trap::StackOverflow))?;
-        if end > self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::StackOverflow));
-        }
-        self.memory[base as usize..end as usize].fill(0);
-        self.hwm = self.hwm.max(end as usize);
+        let end = self.mem.alloca(base, words)?;
         if H::ENABLED {
-            self.hook.mem_clear(base, w as u64);
+            self.hook.mem_clear(base, end - base);
         }
         self.stack_ptr = end;
         Ok(base)
@@ -1359,42 +1320,9 @@ impl<'m> CompiledVm<'m> {
         injection: Option<Injection>,
         hook: &mut H,
     ) -> RunOutput {
-        self.run_impl(input_bits, injection, hook, None)
-    }
-
-    /// Full run that reuses `scratch`'s memory buffer across trials:
-    /// instead of zero-allocating `memory_words` (the dominant fixed
-    /// cost of a short trial), only the previous run's dirty span is
-    /// zeroed and the prelowered globals image re-copied.
-    pub fn run_amortized(
-        &self,
-        scratch: &mut ResumeScratch,
-        input_bits: &[u64],
-        injection: Option<Injection>,
-    ) -> RunOutput {
-        let mut hook = NoHook;
-        self.run_impl(input_bits, injection, &mut hook, Some(scratch))
-    }
-
-    fn run_impl<H: ExecHook>(
-        &self,
-        input_bits: &[u64],
-        injection: Option<Injection>,
-        hook: &mut H,
-        mut scratch: Option<&mut ResumeScratch>,
-    ) -> RunOutput {
         let entry = self.module.entry_func();
         assert_eq!(input_bits.len(), entry.params.len(), "entry arity mismatch");
-        let memory = match scratch.as_deref_mut() {
-            Some(s) => s.take_restored(self.limits.memory_words, &self.code.globals_image),
-            None => {
-                let mut mem = vec![0u64; self.limits.memory_words];
-                mem[..self.code.globals_image.len()].copy_from_slice(&self.code.globals_image);
-                mem
-            }
-        };
-        let mut m = self.machine(memory, hook, injection);
-        m.hwm = self.module.globals_words() as usize;
+        let mut m = self.machine(self.code.globals_image.clone(), hook, injection);
         m.stack_ptr = self.module.globals_words();
         let args: Vec<u64> = input_bits
             .iter()
@@ -1407,24 +1335,7 @@ impl<'m> CompiledVm<'m> {
             .push_cframe(&mut frames, &mut arena, self.module.entry, &args, None)
             .and_then(|()| m.drive(&mut frames, &mut arena));
         m.expand_seg_hits();
-        if let Some(s) = scratch {
-            let hwm = m.hwm;
-            s.put_back(std::mem::take(&mut m.memory), hwm);
-        }
-        let (status, ret) = match end {
-            Ok(RunEnd::Done(v)) => (RunStatus::Ok, v),
-            Ok(RunEnd::Converged { .. }) => unreachable!("full runs carry no checkpoints"),
-            Err(Stop::Trap(t)) => (RunStatus::Trap(t), None),
-            Err(Stop::Hang) => (RunStatus::Hang, None),
-        };
-        RunOutput {
-            status,
-            output: m.output,
-            ret,
-            profile: m.profile,
-            fault_activated: m.fault_activated,
-            memory: None,
-        }
+        trial_result(end, m.output, m.profile, m.fault_activated, None).completed()
     }
 
     pub fn resume_from(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
@@ -1438,10 +1349,8 @@ impl<'m> CompiledVm<'m> {
         injection: Option<Injection>,
         hook: &mut H,
     ) -> RunOutput {
-        match self.resume_impl(snap, injection, hook, &[], None, None, None) {
-            TrialResume::Completed(out) => out,
-            TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
-        }
+        self.resume_impl(snap, injection, hook, &[], None, None)
+            .completed()
     }
 
     pub fn resume_trial(
@@ -1451,13 +1360,11 @@ impl<'m> CompiledVm<'m> {
         checkpoints: &[VmSnapshot],
     ) -> TrialResume {
         let mut hook = NoHook;
-        self.resume_impl(snap, injection, &mut hook, checkpoints, None, None, None)
+        self.resume_impl(snap, injection, &mut hook, checkpoints, None, None)
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub fn resume_trial_amortized(
         &self,
-        scratch: &mut ResumeScratch,
         snap: &VmSnapshot,
         injection: Option<Injection>,
         checkpoints: &[VmSnapshot],
@@ -1465,18 +1372,9 @@ impl<'m> CompiledVm<'m> {
         read_sets: Option<&ReadSets>,
     ) -> TrialResume {
         let mut hook = NoHook;
-        self.resume_impl(
-            snap,
-            injection,
-            &mut hook,
-            checkpoints,
-            masks,
-            read_sets,
-            Some(scratch),
-        )
+        self.resume_impl(snap, injection, &mut hook, checkpoints, masks, read_sets)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn resume_impl<'a, H: ExecHook>(
         &'a self,
         snap: &VmSnapshot,
@@ -1485,23 +1383,13 @@ impl<'m> CompiledVm<'m> {
         checkpoints: &'a [VmSnapshot],
         masks: Option<&'a ConvergeMasks>,
         read_sets: Option<&'a ReadSets>,
-        mut scratch: Option<&mut ResumeScratch>,
     ) -> TrialResume {
         let d = snap.data();
         assert_eq!(
             d.memory_words, self.limits.memory_words,
             "snapshot captured under a different memory size"
         );
-        let memory = match scratch.as_deref_mut() {
-            Some(s) => s.take_restored(self.limits.memory_words, &d.mem),
-            None => {
-                let mut mem = vec![0u64; self.limits.memory_words];
-                mem[..d.mem.len()].copy_from_slice(&d.mem);
-                mem
-            }
-        };
-        let mut m = self.machine(memory, hook, injection);
-        m.hwm = d.hwm;
+        let mut m = self.machine(d.mem.clone(), hook, injection);
         m.stack_ptr = d.stack_ptr;
         m.profile = Profile {
             exec_counts: d.exec_counts.clone(),
@@ -1539,47 +1427,12 @@ impl<'m> CompiledVm<'m> {
         }
         let end = m.drive(&mut frames, &mut arena);
         m.expand_seg_hits();
-        if let Some(s) = scratch {
-            let hwm = m.hwm;
-            s.put_back(std::mem::take(&mut m.memory), hwm);
-        }
-        match end {
-            Ok(RunEnd::Done(v)) => TrialResume::Completed(RunOutput {
-                status: RunStatus::Ok,
-                output: m.output,
-                ret: v,
-                profile: m.profile,
-                fault_activated: m.fault_activated,
-                memory: None,
-            }),
-            Ok(RunEnd::Converged {
-                at_value_dynamic,
-                checkpoint_dynamic,
-                dynamic_at_exit,
-                output_matches,
-            }) => TrialResume::Converged {
-                at_value_dynamic,
-                checkpoint_dynamic,
-                dynamic_at_exit,
-                output_matches,
-            },
-            Err(stop) => TrialResume::Completed(RunOutput {
-                status: match stop {
-                    Stop::Trap(t) => RunStatus::Trap(t),
-                    Stop::Hang => RunStatus::Hang,
-                },
-                output: m.output,
-                ret: None,
-                profile: m.profile,
-                fault_activated: m.fault_activated,
-                memory: None,
-            }),
-        }
+        trial_result(end, m.output, m.profile, m.fault_activated, None)
     }
 
     fn machine<'h, H: ExecHook>(
         &'h self,
-        memory: Vec<u64>,
+        image: Vec<u64>,
         hook: &'h mut H,
         injection: Option<Injection>,
     ) -> CMachine<'h, &'h mut H> {
@@ -1601,8 +1454,7 @@ impl<'m> CompiledVm<'m> {
             module: self.module,
             code: self.code,
             limits: self.limits,
-            memory,
-            hwm: 0,
+            mem: Memory::new(image, self.limits.memory_words),
             stack_ptr: 0,
             profile: Profile::new(self.module.num_instrs),
             output: Vec::new(),

@@ -12,7 +12,7 @@
 //! engine resumes from.
 
 use crate::compiled::CompiledVm;
-use crate::exec::{ExecLimits, Injection, ResumeScratch, RunOutput, Vm};
+use crate::exec::{ExecLimits, Injection, RunOutput, Vm};
 use crate::hooks::ExecHook;
 use crate::lower::CompiledModule;
 use crate::snapshot::{ConvergeMasks, ReadSets, TrialResume, VmSnapshot};
@@ -139,28 +139,6 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// Full trial run that amortizes the per-run memory image across
-    /// trials via `scratch` (one per worker thread). On the compiled
-    /// backend this skips the `memory_words` zero-allocation that
-    /// dominates short trials; the interpreter path is identical to
-    /// [`Engine::run_numeric`] (the scratch is simply unused there —
-    /// amortization is a compiled-backend feature, and the engines
-    /// stay observably bit-identical either way).
-    pub fn run_numeric_amortized(
-        &self,
-        scratch: &mut ResumeScratch,
-        inputs: &[f64],
-        injection: Option<Injection>,
-    ) -> RunOutput {
-        match self.cvm() {
-            Some(c) => {
-                let bits = crate::inputs::encode_inputs(self.module.entry_func(), inputs);
-                c.run_amortized(scratch, &bits, injection)
-            }
-            None => self.vm().run_numeric(inputs, injection),
-        }
-    }
-
     pub fn run_with_hook<H: ExecHook>(
         &self,
         input_bits: &[u64],
@@ -223,10 +201,10 @@ impl<'m> Engine<'m> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Convergence trial with static masks and read sets; see
+    /// [`Vm::resume_trial_amortized`]. Same on both engines.
     pub fn resume_trial_amortized(
         &self,
-        scratch: &mut ResumeScratch,
         snap: &VmSnapshot,
         injection: Option<Injection>,
         checkpoints: &[VmSnapshot],
@@ -234,17 +212,11 @@ impl<'m> Engine<'m> {
         read_sets: Option<&ReadSets>,
     ) -> TrialResume {
         match self.cvm() {
-            Some(c) => {
-                c.resume_trial_amortized(scratch, snap, injection, checkpoints, masks, read_sets)
+            Some(c) => c.resume_trial_amortized(snap, injection, checkpoints, masks, read_sets),
+            None => {
+                self.vm()
+                    .resume_trial_amortized(snap, injection, checkpoints, masks, read_sets)
             }
-            None => self.vm().resume_trial_amortized(
-                scratch,
-                snap,
-                injection,
-                checkpoints,
-                masks,
-                read_sets,
-            ),
         }
     }
 }

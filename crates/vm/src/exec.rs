@@ -15,6 +15,7 @@
 //! [`Vm::resume_from`] thaw it later, bit-exactly.
 
 use crate::hooks::{ExecHook, NoHook};
+use crate::memory::{globals_image, Memory};
 use crate::profile::Profile;
 use crate::snapshot::{
     mask_contains, AccessEv, AccessLog, ConvergeMasks, FrameSnap, ReadSets, SnapData, TrialResume,
@@ -111,7 +112,8 @@ pub struct ExecLimits {
     /// Dynamic (non-terminator) instruction budget; exceeding it reports
     /// [`RunStatus::Hang`].
     pub max_dynamic: u64,
-    /// Total memory, in 64-bit words (globals + stack).
+    /// Addressable memory, in 64-bit words (globals + stack). A run
+    /// stores only the prefix it touches (see `crate::memory`).
     pub memory_words: usize,
     /// Maximum call depth.
     pub max_call_depth: usize,
@@ -171,6 +173,43 @@ pub(crate) enum RunEnd {
     },
 }
 
+/// The result of a run that ended with `end`: a convergence exit, or a
+/// [`RunOutput`] assembled from the machine's final observables.
+pub(crate) fn trial_result(
+    end: Result<RunEnd, Stop>,
+    output: Vec<u64>,
+    profile: Profile,
+    fault_activated: bool,
+    memory: Option<Vec<u64>>,
+) -> TrialResume {
+    let (status, ret) = match end {
+        Ok(RunEnd::Done(v)) => (RunStatus::Ok, v),
+        Ok(RunEnd::Converged {
+            at_value_dynamic,
+            checkpoint_dynamic,
+            dynamic_at_exit,
+            output_matches,
+        }) => {
+            return TrialResume::Converged {
+                at_value_dynamic,
+                checkpoint_dynamic,
+                dynamic_at_exit,
+                output_matches,
+            }
+        }
+        Err(Stop::Trap(t)) => (RunStatus::Trap(t), None),
+        Err(Stop::Hang) => (RunStatus::Hang, None),
+    };
+    TrialResume::Completed(RunOutput {
+        status,
+        output,
+        ret,
+        profile,
+        fault_activated,
+        memory,
+    })
+}
+
 /// Snapshot plumbing threaded through the driver loop. `Off` costs one
 /// well-predicted branch per instruction boundary.
 enum SnapCtl<'a> {
@@ -205,55 +244,6 @@ enum SnapCtl<'a> {
         /// overwriting) can affect it, so everything else is ignored.
         read_sets: Option<&'a ReadSets>,
     },
-}
-
-/// Reusable memory arena for the campaign resume path.
-///
-/// Every run needs a zeroed `memory_words`-sized image; allocating and
-/// zeroing one per trial dominates short resumed trials (the default
-/// image is 16 MiB while a restored prefix is a few KiB). The scratch
-/// keeps one buffer alive across trials and re-zeroes only the prefix
-/// the previous trial actually dirtied — `memory[hwm..]` is never
-/// written, the same invariant snapshots rest on — so a restore costs
-/// O(high-water mark), not O(memory size). One scratch per worker
-/// thread; the restored image is bit-identical to a fresh allocation.
-pub struct ResumeScratch {
-    buf: Vec<u64>,
-    dirty: usize,
-}
-
-impl ResumeScratch {
-    pub fn new() -> ResumeScratch {
-        ResumeScratch {
-            buf: Vec::new(),
-            dirty: 0,
-        }
-    }
-
-    /// Takes the buffer out, restored to the exact `zeros ++ prefix`
-    /// image a fresh allocation would produce.
-    pub(crate) fn take_restored(&mut self, words: usize, prefix: &[u64]) -> Vec<u64> {
-        if self.buf.len() != words {
-            self.buf = vec![0u64; words];
-            self.dirty = 0;
-        } else {
-            let dirty = self.dirty.min(words);
-            self.buf[..dirty].fill(0);
-        }
-        self.buf[..prefix.len()].copy_from_slice(prefix);
-        std::mem::take(&mut self.buf)
-    }
-
-    pub(crate) fn put_back(&mut self, buf: Vec<u64>, hwm: usize) {
-        self.buf = buf;
-        self.dirty = hwm;
-    }
-}
-
-impl Default for ResumeScratch {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// The interpreter. Cheap to construct; holds no run state.
@@ -303,10 +293,7 @@ struct Frame {
 struct State<'m, H: ExecHook> {
     module: &'m Module,
     limits: ExecLimits,
-    memory: Vec<u64>,
-    /// High-water mark: `memory[hwm..]` has never been written and is
-    /// still zero — snapshots only store (and compare) `memory[..hwm]`.
-    hwm: usize,
+    mem: Memory,
     stack_ptr: u64,
     profile: Profile,
     output: Vec<u64>,
@@ -416,19 +403,15 @@ impl<'m> Vm<'m> {
     /// [`value_dynamic`](VmSnapshot::value_dynamic), the result is
     /// bit-identical to a full run with the same injection.
     pub fn resume_from(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
-        match self.resume_impl(snap, injection, false, NoHook, &[], None, None, None) {
-            TrialResume::Completed(out) => out,
-            TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
-        }
+        self.resume_impl(snap, injection, false, NoHook, &[], None, None)
+            .completed()
     }
 
     /// Like [`resume_from`](Self::resume_from), capturing the final
     /// memory image in [`RunOutput::memory`].
     pub fn resume_capture(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
-        match self.resume_impl(snap, injection, true, NoHook, &[], None, None, None) {
-            TrialResume::Completed(out) => out,
-            TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
-        }
+        self.resume_impl(snap, injection, true, NoHook, &[], None, None)
+            .completed()
     }
 
     /// Like [`resume_from`](Self::resume_from), with an [`ExecHook`]
@@ -442,10 +425,8 @@ impl<'m> Vm<'m> {
         injection: Option<Injection>,
         hook: &mut H,
     ) -> RunOutput {
-        match self.resume_impl(snap, injection, false, hook, &[], None, None, None) {
-            TrialResume::Completed(out) => out,
-            TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
-        }
+        self.resume_impl(snap, injection, false, hook, &[], None, None)
+            .completed()
     }
 
     /// Campaign fast path: resumes from `snap` and, once the fault has
@@ -459,31 +440,19 @@ impl<'m> Vm<'m> {
         injection: Option<Injection>,
         checkpoints: &[VmSnapshot],
     ) -> TrialResume {
-        self.resume_impl(
-            snap,
-            injection,
-            false,
-            NoHook,
-            checkpoints,
-            None,
-            None,
-            None,
-        )
+        self.resume_impl(snap, injection, false, NoHook, checkpoints, None, None)
     }
 
     /// [`resume_trial`](Self::resume_trial) with the campaign-loop
-    /// amortizations: a reusable memory arena ([`ResumeScratch`]) that
-    /// skips the per-trial zeroed-image allocation, and optional static
-    /// live-register masks ([`ConvergeMasks`]) that let the convergence
-    /// check ignore registers that are provably dead at the checkpoint.
-    /// Outcome-equivalent to `resume_trial`: the arena restores the
-    /// exact `zeros ++ prefix` image a fresh allocation would produce,
-    /// and a masked register is never read before being overwritten, so
-    /// its value cannot change the continuation.
-    #[allow(clippy::too_many_arguments)]
+    /// widenings of the convergence check: optional static
+    /// live-register masks ([`ConvergeMasks`]) that ignore registers
+    /// provably dead at the checkpoint, and golden future read sets
+    /// ([`ReadSets`]) that ignore memory the continuation never loads.
+    /// Outcome-equivalent to `resume_trial`: a masked register or an
+    /// unread word is overwritten before any use, so its value cannot
+    /// change the continuation.
     pub fn resume_trial_amortized(
         &self,
-        scratch: &mut ResumeScratch,
         snap: &VmSnapshot,
         injection: Option<Injection>,
         checkpoints: &[VmSnapshot],
@@ -498,7 +467,6 @@ impl<'m> Vm<'m> {
             checkpoints,
             masks,
             read_sets,
-            Some(scratch),
         )
     }
 
@@ -513,19 +481,11 @@ impl<'m> Vm<'m> {
         let entry = self.module.entry_func();
         assert_eq!(input_bits.len(), entry.params.len(), "entry arity mismatch");
 
-        let mut memory = vec![0u64; self.limits.memory_words];
-        let layout = self.module.global_layout();
-        for (g, base) in self.module.globals.iter().zip(&layout) {
-            let base = *base as usize;
-            memory[base..base + g.init.len()].copy_from_slice(&g.init);
-        }
-
         let mut state = State {
             module: self.module,
             limits: self.limits,
             stack_ptr: self.module.globals_words(),
-            memory,
-            hwm: self.module.globals_words() as usize,
+            mem: Memory::new(globals_image(self.module), self.limits.memory_words),
             profile: Profile::new(self.module.num_instrs),
             output: Vec::new(),
             injection,
@@ -547,23 +507,18 @@ impl<'m> Vm<'m> {
         let end = state
             .push_frame(&mut frames, self.module.entry, &args, None)
             .and_then(|()| state.drive(&mut frames, ctl));
-        let (status, ret) = match end {
-            Ok(RunEnd::Done(v)) => (RunStatus::Ok, v),
-            Ok(RunEnd::Converged { .. }) => unreachable!("full runs carry no checkpoints"),
-            Err(Stop::Trap(t)) => (RunStatus::Trap(t), None),
-            Err(Stop::Hang) => (RunStatus::Hang, None),
-        };
         if let SnapCtl::Capture { log, .. } = ctl {
             *log = state.access_log.take();
         }
-        RunOutput {
-            status,
-            output: state.output,
-            ret,
-            profile: state.profile,
-            fault_activated: state.fault_activated,
-            memory: if capture { Some(state.memory) } else { None },
-        }
+        let memory = capture.then(|| state.mem.into_full());
+        trial_result(
+            end,
+            state.output,
+            state.profile,
+            state.fault_activated,
+            memory,
+        )
+        .completed()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -576,27 +531,16 @@ impl<'m> Vm<'m> {
         checkpoints: &[VmSnapshot],
         masks: Option<&ConvergeMasks>,
         read_sets: Option<&ReadSets>,
-        mut scratch: Option<&mut ResumeScratch>,
     ) -> TrialResume {
         let d = snap.data();
         assert_eq!(
             d.memory_words, self.limits.memory_words,
             "snapshot captured under a different memory size"
         );
-        let memory = match scratch.as_deref_mut() {
-            Some(s) => s.take_restored(self.limits.memory_words, &d.mem),
-            None => {
-                let mut m = vec![0u64; self.limits.memory_words];
-                m[..d.mem.len()].copy_from_slice(&d.mem);
-                m
-            }
-        };
-
         let mut state = State {
             module: self.module,
             limits: self.limits,
-            memory,
-            hwm: d.hwm,
+            mem: Memory::new(d.mem.clone(), self.limits.memory_words),
             stack_ptr: d.stack_ptr,
             profile: Profile {
                 exec_counts: d.exec_counts.clone(),
@@ -636,40 +580,14 @@ impl<'m> Vm<'m> {
             }
         };
         let end = state.drive(&mut frames, &mut ctl);
-        // Hand the arena back before building the result; a capturing
-        // resume keeps the image instead (it is returned to the caller).
-        if let Some(s) = scratch {
-            if !capture {
-                let hwm = state.hwm;
-                s.put_back(std::mem::take(&mut state.memory), hwm);
-            }
-        }
-        let completed = |state: State<'m, H>, status: RunStatus, ret: Option<u64>| {
-            TrialResume::Completed(RunOutput {
-                status,
-                output: state.output,
-                ret,
-                profile: state.profile,
-                fault_activated: state.fault_activated,
-                memory: if capture { Some(state.memory) } else { None },
-            })
-        };
-        match end {
-            Ok(RunEnd::Done(v)) => completed(state, RunStatus::Ok, v),
-            Ok(RunEnd::Converged {
-                at_value_dynamic,
-                checkpoint_dynamic,
-                dynamic_at_exit,
-                output_matches,
-            }) => TrialResume::Converged {
-                at_value_dynamic,
-                checkpoint_dynamic,
-                dynamic_at_exit,
-                output_matches,
-            },
-            Err(Stop::Trap(t)) => completed(state, RunStatus::Trap(t), None),
-            Err(Stop::Hang) => completed(state, RunStatus::Hang, None),
-        }
+        let memory = capture.then(|| state.mem.into_full());
+        trial_result(
+            end,
+            state.output,
+            state.profile,
+            state.fault_activated,
+            memory,
+        )
     }
 
     /// Convenience: golden (fault-free) run from numeric inputs.
@@ -810,7 +728,7 @@ impl<'m, H: ExecHook> State<'m, H> {
                         let freed = frame.frame_sp as usize..self.stack_ptr as usize;
                         if !freed.is_empty() {
                             let len = (freed.end - freed.start) as u64;
-                            self.memory[freed].fill(0);
+                            self.mem.clear(freed);
                             if let Some(l) = &mut self.access_log {
                                 l.events.push(AccessEv::Zero {
                                     base: frame.frame_sp as u32,
@@ -916,8 +834,7 @@ impl<'m, H: ExecHook> State<'m, H> {
                     frame_sp: f.frame_sp,
                 })
                 .collect(),
-            mem: self.memory[..self.hwm].to_vec(),
-            hwm: self.hwm,
+            mem: self.mem.prefix().to_vec(),
             memory_words: self.limits.memory_words,
             stack_ptr: self.stack_ptr,
             output: self.output.clone(),
@@ -929,9 +846,10 @@ impl<'m, H: ExecHook> State<'m, H> {
 
     /// Machine-state equality against a golden checkpoint. Cheap
     /// discriminators (stack pointer, frame positions, registers) run
-    /// first; the memory compare is bounded by the high-water marks —
-    /// both sides are provably zero beyond them. With `masks`, register
-    /// comparison skips values that are statically dead at the frame's
+    /// first; the memory compare is of the zero-extended images, bounded
+    /// by the high-water marks — both sides are provably zero beyond
+    /// them. With `masks`, register comparison skips values that are
+    /// statically dead at the frame's
     /// position: they are never read before being overwritten on any
     /// path, so a differing value parked there cannot change the
     /// continuation (see [`ConvergeMasks`]). With `read_sets`, the
@@ -974,18 +892,9 @@ impl<'m, H: ExecHook> State<'m, H> {
             }
         }
         if let Some(set) = read_sets.and_then(|r| r.set_at(cp.value_dynamic)) {
-            return set
-                .iter()
-                .all(|&a| self.memory[a as usize] == cp.mem.get(a as usize).copied().unwrap_or(0));
+            return self.mem.matches_on(&cp.mem, set);
         }
-        if self.memory[..cp.hwm] != cp.mem[..] {
-            return false;
-        }
-        // Anything the faulty run wrote beyond the golden high-water
-        // mark must have been zeroed again for the states to be equal.
-        self.memory[cp.hwm..self.hwm.max(cp.hwm)]
-            .iter()
-            .all(|&w| w == 0)
+        self.mem.matches(&cp.mem)
     }
 
     /// Computes one non-call instruction. Returns the value to write to
@@ -1019,7 +928,7 @@ impl<'m, H: ExecHook> State<'m, H> {
             }
             Op::Load { addr, ty } => {
                 let p = eval(regs, addr);
-                let word = self.mem_read(p)?;
+                let word = self.mem.read(p)?;
                 if let Some(l) = &mut self.access_log {
                     l.events.push(AccessEv::Load(p as u32));
                 }
@@ -1031,7 +940,7 @@ impl<'m, H: ExecHook> State<'m, H> {
             Op::Store { addr, value } => {
                 let p = eval(regs, addr);
                 let v = eval(regs, value);
-                self.mem_write(p, v)?;
+                self.mem.write(p, v)?;
                 if let Some(l) = &mut self.access_log {
                     l.events.push(AccessEv::Store(p as u32));
                 }
@@ -1042,19 +951,9 @@ impl<'m, H: ExecHook> State<'m, H> {
             }
             Op::Gep { base, index } => Some(eval(regs, base).wrapping_add(eval(regs, index))),
             Op::Alloca { words } => {
-                let w = eval(regs, words) as i64;
-                if w < 0 {
-                    return Err(Stop::Trap(Trap::StackOverflow));
-                }
                 let base = self.stack_ptr;
-                let end = base
-                    .checked_add(w as u64)
-                    .ok_or(Stop::Trap(Trap::StackOverflow))?;
-                if end > self.memory.len() as u64 {
-                    return Err(Stop::Trap(Trap::StackOverflow));
-                }
-                self.memory[base as usize..end as usize].fill(0);
-                self.hwm = self.hwm.max(end as usize);
+                let end = self.mem.alloca(base, eval(regs, words))?;
+                let w = end - base;
                 if let Some(l) = &mut self.access_log {
                     l.events.push(AccessEv::Zero {
                         base: base as u32,
@@ -1062,7 +961,7 @@ impl<'m, H: ExecHook> State<'m, H> {
                     });
                 }
                 if H::ENABLED {
-                    self.hook.mem_clear(base, w as u64);
+                    self.hook.mem_clear(base, w);
                 }
                 self.stack_ptr = end;
                 Some(base)
@@ -1117,26 +1016,6 @@ impl<'m, H: ExecHook> State<'m, H> {
                 ins.sid == sid && self.profile.exec_counts[sid.0 as usize] - 1 == instance
             }
         }
-    }
-
-    #[inline]
-    fn mem_read(&self, addr: u64) -> Result<u64, Stop> {
-        if addr == 0 || addr >= self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::OutOfBounds { addr }));
-        }
-        Ok(self.memory[addr as usize])
-    }
-
-    #[inline]
-    fn mem_write(&mut self, addr: u64, value: u64) -> Result<(), Stop> {
-        if addr == 0 || addr >= self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::OutOfBounds { addr }));
-        }
-        self.memory[addr as usize] = value;
-        if addr as usize >= self.hwm {
-            self.hwm = addr as usize + 1;
-        }
-        Ok(())
     }
 }
 

@@ -8,17 +8,46 @@
 
 use peppa_ir::{Function, Ty};
 
+/// A program input with the wrong number of values for the entry
+/// function's parameters.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArityError {
+    pub func: String,
+    pub got: usize,
+    pub need: usize,
+}
+
+impl std::fmt::Display for ArityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "input arity mismatch for {}: got {}, need {}",
+            self.func, self.got, self.need
+        )
+    }
+}
+
+impl std::error::Error for ArityError {}
+
+/// Checks that `inputs` has one value per parameter of `func`.
+pub fn check_arity(func: &Function, inputs: &[f64]) -> Result<(), ArityError> {
+    if inputs.len() == func.params.len() {
+        return Ok(());
+    }
+    Err(ArityError {
+        func: func.name.clone(),
+        got: inputs.len(),
+        need: func.params.len(),
+    })
+}
+
 /// Encodes a numeric input vector as raw register bits for `func`'s
-/// parameters. Panics if the arity does not match.
+/// parameters. Panics if the arity does not match; callers taking
+/// inputs from a user validate them first with [`check_arity`].
 pub fn encode_inputs(func: &Function, inputs: &[f64]) -> Vec<u64> {
-    assert_eq!(
-        inputs.len(),
-        func.params.len(),
-        "input arity mismatch for {}: got {}, need {}",
-        func.name,
-        inputs.len(),
-        func.params.len()
-    );
+    if let Err(e) = check_arity(func, inputs) {
+        panic!("{e}");
+    }
     inputs
         .iter()
         .zip(&func.params)
@@ -70,6 +99,15 @@ mod tests {
     fn i32_wraps_to_sign_extended() {
         let func = f(vec![Ty::I32]);
         assert_eq!(encode_inputs(&func, &[-1.0]), vec![u64::MAX]);
+    }
+
+    #[test]
+    fn arity_error_is_typed() {
+        let func = f(vec![Ty::F64, Ty::I64]);
+        assert_eq!(check_arity(&func, &[1.0, 2.0]), Ok(()));
+        let e = check_arity(&func, &[1.0]).unwrap_err();
+        assert_eq!((e.got, e.need), (1, 2));
+        assert_eq!(e.to_string(), "input arity mismatch for t: got 1, need 2");
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod exec;
 pub mod hooks;
 pub mod inputs;
 pub mod lower;
+mod memory;
 pub mod profile;
 pub mod snapshot;
 pub mod taint;
@@ -38,10 +39,10 @@ pub use compiled::CompiledVm;
 pub use engine::{Engine, EngineKind};
 pub use exec::{
     canon, exec_bin_checked, exec_cast, exec_fcmp, exec_icmp, exec_un, ExecLimits, Injection,
-    InjectionTarget, ResumeScratch, RunOutput, RunStatus, Trap, Vm,
+    InjectionTarget, RunOutput, RunStatus, Trap, Vm,
 };
 pub use hooks::{ExecHook, NoHook, OpcodeProfile};
-pub use inputs::encode_inputs;
+pub use inputs::{check_arity, encode_inputs, ArityError};
 pub use lower::CompiledModule;
 pub use profile::Profile;
 pub use snapshot::{ConvergeMasks, ReadSets, TrialResume, VmSnapshot};

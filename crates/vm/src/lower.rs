@@ -330,9 +330,7 @@ pub struct CompiledModule {
     pub(crate) total_pcs: usize,
     /// Initialized-globals image: the first `globals_words` of a fresh
     /// memory, with every global's `init` placed at its layout base.
-    /// Lets the compiled engine restore run-start memory from a reused
-    /// scratch buffer (zero the dirty span, copy this prefix) instead
-    /// of zero-allocating `memory_words` per trial.
+    /// Every run starts from a clone of it (see `crate::memory`).
     pub(crate) globals_image: Vec<u64>,
 }
 
@@ -347,16 +345,11 @@ impl CompiledModule {
             pc_base.push(total as u32);
             total += f.code.len();
         }
-        let mut globals_image = vec![0u64; module.globals_words() as usize];
-        for (g, base) in module.globals.iter().zip(&module.global_layout()) {
-            let base = *base as usize;
-            globals_image[base..base + g.init.len()].copy_from_slice(&g.init);
-        }
         let cm = CompiledModule {
             funcs,
             pc_base,
             total_pcs: total,
-            globals_image,
+            globals_image: crate::memory::globals_image(module),
         };
         validate(module, &cm);
         cm

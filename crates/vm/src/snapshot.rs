@@ -45,10 +45,9 @@ pub(crate) struct FrameSnap {
 #[derive(Debug)]
 pub(crate) struct SnapData {
     pub(crate) frames: Vec<FrameSnap>,
-    /// First [`hwm`](Self::hwm) words of memory; every word beyond the
-    /// high-water mark was never written and is still zero.
+    /// Memory up to the high-water mark; every word beyond it was
+    /// never written and is still zero.
     pub(crate) mem: Vec<u64>,
-    pub(crate) hwm: usize,
     /// Full memory size the run was configured with (restore sanity
     /// check — a snapshot only resumes under the same memory limit).
     pub(crate) memory_words: usize,
@@ -311,4 +310,14 @@ pub enum TrialResume {
         /// at the checkpoint (decides benign vs SDC).
         output_matches: bool,
     },
+}
+
+impl TrialResume {
+    /// The output of a run given no checkpoints, which cannot converge.
+    pub(crate) fn completed(self) -> RunOutput {
+        match self {
+            TrialResume::Completed(out) => out,
+            TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
+        }
+    }
 }

@@ -286,8 +286,6 @@ fn converged_trials_match_across_engines() {
 
         let points = fork_points(vd, 8);
         let (_, snaps) = vm.run_with_snapshots(&bits, &points);
-        let mut scratch_i = peppa_vm::ResumeScratch::new();
-        let mut scratch_c = peppa_vm::ResumeScratch::new();
 
         for (fi, snap) in snaps.iter().enumerate() {
             let site = snap.value_dynamic() + (vd - snap.value_dynamic()) / 7;
@@ -297,8 +295,8 @@ fn converged_trials_match_across_engines() {
                 burst: 0,
             };
             let later = &snaps[fi + 1..];
-            let ti = vm.resume_trial_amortized(&mut scratch_i, snap, Some(inj), later, None, None);
-            let tc = cvm.resume_trial_amortized(&mut scratch_c, snap, Some(inj), later, None, None);
+            let ti = vm.resume_trial_amortized(snap, Some(inj), later, None, None);
+            let tc = cvm.resume_trial_amortized(snap, Some(inj), later, None, None);
             match (&ti, &tc) {
                 (TrialResume::Completed(a), TrialResume::Completed(b)) => {
                     assert_runs_eq(bench.name, &format!("trial@{site}"), a, b);

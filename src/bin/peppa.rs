@@ -79,7 +79,8 @@ use peppa_x::obs::{
     ChromeTrace, JsonlJournal, MetricsRegistry, MultiObserver, ProgressReporter, PropagationHeatmap,
 };
 use peppa_x::vm::{
-    CompiledModule, Engine, EngineKind, ExecLimits, Injection, InjectionTarget, OpcodeProfile,
+    check_arity, CompiledModule, Engine, EngineKind, ExecLimits, Injection, InjectionTarget,
+    OpcodeProfile,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -163,7 +164,12 @@ fn parse_opts(rest: &[String]) -> Result<(Option<String>, Opts), String> {
             "--input" => o.input = Some(parse_floats(&val("--input")?)?),
             "--ref" => o.reference = Some(parse_floats(&val("--ref")?)?),
             "--spec" => o.spec = Some(parse_spec(&val("--spec")?)?),
-            "--trials" => o.trials = val("--trials")?.parse().map_err(|_| "bad --trials")?,
+            "--trials" => {
+                o.trials = val("--trials")?
+                    .parse::<std::num::NonZeroU32>()
+                    .map_err(|_| "bad --trials (need a positive integer)")?
+                    .get()
+            }
             "--seed" => o.seed = val("--seed")?.parse().map_err(|_| "bad --seed")?,
             "--generations" => {
                 o.generations = val("--generations")?
@@ -370,6 +376,11 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         .input
         .clone()
         .unwrap_or_else(|| bench.reference_input.clone());
+    // Every subcommand that executes the program encodes these inputs;
+    // reject a wrong arity here instead of panicking there.
+    let entry = bench.module.entry_func();
+    check_arity(entry, &input).map_err(|e| format!("--input: {e}"))?;
+    check_arity(entry, &bench.reference_input).map_err(|e| format!("--ref: {e}"))?;
     let (observer, registry, heatmap) = build_observer(&o)?;
     let mut exit = ExitCode::SUCCESS;
 
