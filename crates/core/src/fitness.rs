@@ -50,6 +50,9 @@ pub struct FitnessOracle<'a> {
     pub bench: &'a Benchmark,
     pub scores: &'a SdcScores,
     pub limits: ExecLimits,
+    /// Workers for a batch's fitness runs; 0 = all cores. Results and
+    /// accounting do not depend on it.
+    pub threads: usize,
     pub cost_dynamic: u64,
     pub evaluations: u64,
     /// Memoized evaluations served without running the VM.
@@ -58,11 +61,14 @@ pub struct FitnessOracle<'a> {
 }
 
 impl<'a> FitnessOracle<'a> {
+    /// A single-threaded oracle; set `threads` to run batches in
+    /// parallel.
     pub fn new(bench: &'a Benchmark, scores: &'a SdcScores, limits: ExecLimits) -> Self {
         FitnessOracle {
             bench,
             scores,
             limits,
+            threads: 1,
             cost_dynamic: 0,
             evaluations: 0,
             cache_hits: 0,
@@ -72,26 +78,52 @@ impl<'a> FitnessOracle<'a> {
 
     /// Evaluates one genome, accounting its cost.
     pub fn eval(&mut self, genome: &[f64]) -> Option<f64> {
-        self.evaluations += 1;
-        let clamped: Vec<f64> = genome
+        self.eval_batch(&[genome.to_vec()])[0]
+    }
+
+    /// Evaluates `genomes` as if by [`eval`](Self::eval) on each in
+    /// order: the first occurrence of a genome the memo does not hold is
+    /// a run, every other genome (earlier batches' and this batch's
+    /// repeats alike) a cache hit. The runs go to `threads` workers;
+    /// their costs and memo entries are applied in batch order.
+    pub fn eval_batch(&mut self, genomes: &[Vec<f64>]) -> Vec<Option<f64>> {
+        self.evaluations += genomes.len() as u64;
+        let clamped: Vec<Vec<f64>> = genomes
             .iter()
-            .zip(&self.bench.args)
-            .map(|(&x, a)| a.clamp(x))
+            .map(|g| {
+                g.iter()
+                    .zip(&self.bench.args)
+                    .map(|(&x, a)| a.clamp(x))
+                    .collect()
+            })
             .collect();
-        let key: Vec<u64> = clamped.iter().map(|x| x.to_bits()).collect();
-        if let Some(&cached) = self.cache.get(&key) {
-            self.cache_hits += 1;
-            return cached;
-        }
-        let result = match fitness_of_input(self.bench, self.scores, &clamped, self.limits) {
-            Some((f, dynamic)) => {
-                self.cost_dynamic += dynamic;
-                Some(f)
+        let keys: Vec<Vec<u64>> = clamped
+            .iter()
+            .map(|c| c.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        let mut misses: Vec<usize> = Vec::new();
+        let mut fresh = std::collections::HashSet::new();
+        for (i, key) in keys.iter().enumerate() {
+            if !self.cache.contains_key(key) && fresh.insert(key) {
+                misses.push(i);
             }
-            None => None,
-        };
-        self.cache.insert(key, result);
-        result
+        }
+        self.cache_hits += (genomes.len() - misses.len()) as u64;
+
+        let (bench, scores, limits) = (self.bench, self.scores, self.limits);
+        let runs = peppa_inject::map_claimed(
+            misses.len(),
+            self.threads,
+            |j| fitness_of_input(bench, scores, &clamped[misses[j]], limits),
+            |_| {},
+        );
+        for (&i, run) in misses.iter().zip(runs) {
+            if let Some((_, dynamic)) = run {
+                self.cost_dynamic += dynamic;
+            }
+            self.cache.insert(keys[i].clone(), run.map(|(f, _)| f));
+        }
+        keys.iter().map(|k| self.cache[k]).collect()
     }
 }
 
@@ -156,6 +188,56 @@ mod tests {
         oracle.eval(&probe);
         assert!(oracle.cost_dynamic > c1);
         assert_eq!(oracle.cache_hits, 1);
+    }
+
+    #[test]
+    fn batches_match_serial_eval_at_any_thread_count() {
+        let (b, s) = setup();
+        let a = [4.0, 4.0, 3.0, 0.01];
+        let c = [5.0, 7.0, 3.0, 0.2];
+        let d = [9.0, 5.0, 2.0, 0.5];
+        // 4.2 clamps onto 4: an in-batch repeat of `a` after clamping.
+        let a_unclamped = [4.2, 4.0, 3.0, 0.01];
+        let batches: Vec<Vec<Vec<f64>>> = vec![
+            vec![a.to_vec(), c.to_vec(), a.to_vec(), a_unclamped.to_vec()],
+            vec![
+                c.to_vec(),
+                d.to_vec(),
+                b.reference_input.clone(),
+                d.to_vec(),
+            ],
+            vec![a.to_vec()],
+            vec![],
+        ];
+        let mut serial = FitnessOracle::new(&b, &s, ExecLimits::default());
+        let expected: Vec<Vec<Option<u64>>> = batches
+            .iter()
+            .map(|batch| {
+                batch
+                    .iter()
+                    .map(|g| serial.eval(g).map(f64::to_bits))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(serial.cache_hits, 5);
+        for threads in [1, 2, 4] {
+            let mut oracle = FitnessOracle::new(&b, &s, ExecLimits::default());
+            oracle.threads = threads;
+            for (batch, want) in batches.iter().zip(&expected) {
+                let got: Vec<Option<u64>> = oracle
+                    .eval_batch(batch)
+                    .into_iter()
+                    .map(|f| f.map(f64::to_bits))
+                    .collect();
+                assert_eq!(&got, want, "threads={threads}");
+            }
+            assert_eq!(
+                oracle.cost_dynamic, serial.cost_dynamic,
+                "threads={threads}"
+            );
+            assert_eq!(oracle.cache_hits, serial.cache_hits, "threads={threads}");
+            assert_eq!(oracle.evaluations, serial.evaluations, "threads={threads}");
+        }
     }
 
     #[test]

@@ -26,9 +26,13 @@ pub struct PeppaConfig {
     /// Final FI campaign size for the reported SDC-bound input (1,000).
     pub final_fi_trials: u32,
     pub limits: ExecLimits,
-    /// Worker threads for FI phases; 0 = all cores.
+    /// Worker threads for the distribution FI, each GA generation's
+    /// fitness runs and the checkpoint FI campaigns; 0 = all cores.
+    /// Results do not depend on it.
     pub threads: usize,
-    /// Execution backend for the FI phases (outcome-invariant).
+    /// Execution backend for the checkpoint FI campaigns only
+    /// (outcome-invariant). The distribution FI and the fitness runs
+    /// always run on the interpreter.
     pub engine: EngineKind,
     pub small_input: SmallInputConfig,
 }
@@ -179,6 +183,7 @@ impl<'b> PeppaX<'b> {
         let start = Instant::now();
 
         let mut oracle = FitnessOracle::new(self.bench, &self.scores, self.cfg.limits);
+        oracle.threads = self.cfg.threads;
         let ga_cfg = GaConfig {
             population: self.cfg.population,
             mutation_rate: self.cfg.mutation_rate,
@@ -191,6 +196,9 @@ impl<'b> PeppaX<'b> {
         impl peppa_ga::Fitness for OracleAdapter<'_, '_> {
             fn eval(&mut self, genome: &[f64]) -> Option<f64> {
                 self.0.eval(genome)
+            }
+            fn eval_batch(&mut self, genomes: &[Vec<f64>]) -> Vec<Option<f64>> {
+                self.0.eval_batch(genomes)
             }
         }
 
@@ -411,6 +419,25 @@ mod tests {
         let plain = PeppaX::prepare(&b, quick_cfg()).unwrap().search(&[3]);
         assert_eq!(plain.checkpoints[0].input, report.checkpoints[0].input);
         assert_eq!(plain.checkpoints[0].sdc.sdc, report.checkpoints[0].sdc.sdc);
+    }
+
+    #[test]
+    fn zero_distribution_trials_is_a_prepare_error() {
+        let b = pathfinder::benchmark();
+        let cfg = PeppaConfig {
+            distribution_trials: 0,
+            ..quick_cfg()
+        };
+        let r = PeppaX::prepare(&b, cfg);
+        assert!(
+            matches!(
+                r,
+                Err(PrepareError::Distribution(
+                    peppa_inject::campaign::CampaignError::NoTrials
+                ))
+            ),
+            "prepare accepted zero distribution trials"
+        );
     }
 
     #[test]

@@ -89,6 +89,14 @@ impl GaConfig {
 /// fitness `f64::NEG_INFINITY` and die out.
 pub trait Fitness {
     fn eval(&mut self, genome: &[f64]) -> Option<f64>;
+
+    /// Evaluates a generation's genomes at once, `result[i]` for
+    /// `genomes[i]`. The engine draws every genome of a generation before
+    /// calling this, so an oracle may run the batch in parallel; it must
+    /// answer exactly as `eval` called on each genome in order would.
+    fn eval_batch(&mut self, genomes: &[Vec<f64>]) -> Vec<Option<f64>> {
+        genomes.iter().map(|g| self.eval(g)).collect()
+    }
 }
 
 impl<F: FnMut(&[f64]) -> Option<f64>> Fitness for F {
@@ -124,6 +132,9 @@ impl GeneticEngine {
             "genome must have at least one argument"
         );
         let mut rng = Pcg64::new(cfg.seed);
+        let genomes: Vec<Vec<f64>> = (0..cfg.population)
+            .map(|_| cfg.bounds.iter().map(|b| b.sample(&mut rng)).collect())
+            .collect();
         let mut engine = GeneticEngine {
             population: Vec::with_capacity(cfg.population),
             best: None,
@@ -132,33 +143,35 @@ impl GeneticEngine {
             rng,
             cfg,
         };
-        rng = engine.rng.clone();
-        for _ in 0..engine.cfg.population {
-            let genome: Vec<f64> = engine
-                .cfg
-                .bounds
-                .iter()
-                .map(|b| b.sample(&mut rng))
-                .collect();
-            engine.push_evaluated(genome, fit);
-        }
-        engine.rng = rng;
+        engine.push_evaluated(genomes, fit);
         engine
     }
 
-    fn push_evaluated(&mut self, genome: Vec<f64>, fit: &mut dyn Fitness) {
-        self.evaluations += 1;
-        let fitness = fit.eval(&genome).unwrap_or(f64::NEG_INFINITY);
-        let ind = Individual { genome, fitness };
-        if self
-            .best
-            .as_ref()
-            .map(|b| ind.fitness > b.fitness)
-            .unwrap_or(ind.fitness > f64::NEG_INFINITY)
-        {
-            self.best = Some(ind.clone());
+    /// Evaluates `genomes` as one batch and adds them to the population
+    /// in order.
+    fn push_evaluated(&mut self, genomes: Vec<Vec<f64>>, fit: &mut dyn Fitness) {
+        let fitness = fit.eval_batch(&genomes);
+        assert_eq!(
+            fitness.len(),
+            genomes.len(),
+            "eval_batch must answer every genome"
+        );
+        self.evaluations += genomes.len() as u64;
+        for (genome, f) in genomes.into_iter().zip(fitness) {
+            let ind = Individual {
+                genome,
+                fitness: f.unwrap_or(f64::NEG_INFINITY),
+            };
+            if self
+                .best
+                .as_ref()
+                .map(|b| ind.fitness > b.fitness)
+                .unwrap_or(ind.fitness > f64::NEG_INFINITY)
+            {
+                self.best = Some(ind.clone());
+            }
+            self.population.push(ind);
         }
-        self.population.push(ind);
     }
 
     /// Roulette selection: probability proportional to fitness, shifted
@@ -238,9 +251,7 @@ impl GeneticEngine {
             offspring.push(child);
         }
 
-        for genome in offspring {
-            self.push_evaluated(genome, fit);
-        }
+        self.push_evaluated(offspring, fit);
 
         // (μ+λ) truncation: keep the fittest `population` members.
         self.population.sort_by(|a, b| {
@@ -401,6 +412,34 @@ mod tests {
         // One generation adds `population` offspring (crossover may round
         // slightly over, never under).
         assert!(ga.evaluations() >= 20);
+    }
+
+    #[test]
+    fn each_generation_is_one_batch_matching_serial_eval() {
+        /// Records batch sizes; answers like `sphere`.
+        struct Batching(Vec<usize>);
+        impl Fitness for Batching {
+            fn eval(&mut self, genome: &[f64]) -> Option<f64> {
+                sphere(genome)
+            }
+            fn eval_batch(&mut self, genomes: &[Vec<f64>]) -> Vec<Option<f64>> {
+                self.0.push(genomes.len());
+                genomes.iter().map(|g| sphere(g)).collect()
+            }
+        }
+        let cfg = GaConfig::paper_defaults(sphere_bounds(2), 5);
+        let mut batching = Batching(Vec::new());
+        let mut a = GeneticEngine::new(cfg.clone(), &mut batching);
+        let mut fit = sphere;
+        let mut b = GeneticEngine::new(cfg.clone(), &mut fit);
+        for _ in 0..10 {
+            a.step(&mut batching);
+            b.step(&mut fit);
+        }
+        assert_eq!(batching.0, vec![cfg.population; 11]);
+        assert_eq!(a.population(), b.population());
+        assert_eq!(a.best(), b.best());
+        assert_eq!(a.evaluations(), b.evaluations());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::forkpoint::{fork_point_for, plan_fork_points};
 use crate::outcome::{classify, FaultOutcome};
+use crate::parallel::map_claimed;
 use peppa_ir::{Instr, Module};
 use peppa_obs::{Event, NullObserver, Observer, Outcome as ObsOutcome};
 use peppa_stats::{binomial_ci, ci::Z_95, BinomialCi, Pcg64};
@@ -92,6 +93,48 @@ impl CampaignResult {
         }
         self.crash as f64 / self.trials as f64
     }
+
+    /// Counts per-trial outcomes into a result; `executions` is the runs
+    /// actually paid for, the golden run included.
+    pub(crate) fn tally(
+        outcomes: impl IntoIterator<Item = FaultOutcome>,
+        executions: u64,
+        golden_dynamic: u64,
+    ) -> CampaignResult {
+        let (mut sdc, mut crash, mut hang, mut benign) = (0, 0, 0, 0);
+        for o in outcomes {
+            match o {
+                FaultOutcome::Sdc => sdc += 1,
+                FaultOutcome::Crash => crash += 1,
+                FaultOutcome::Hang => hang += 1,
+                FaultOutcome::Benign => benign += 1,
+            }
+        }
+        let trials = sdc + crash + hang + benign;
+        CampaignResult {
+            trials,
+            sdc,
+            crash,
+            hang,
+            benign,
+            sdc_ci: binomial_ci(sdc as u64, trials as u64, Z_95),
+            executions,
+            golden_dynamic,
+        }
+    }
+
+    /// The terminal `CampaignFinished` event of a campaign that began at
+    /// `start`.
+    pub(crate) fn finished_event(&self, start: Instant) -> Event {
+        Event::CampaignFinished {
+            trials: self.trials,
+            sdc: self.sdc,
+            crash: self.crash,
+            hang: self.hang,
+            benign: self.benign,
+            wall_ns: start.elapsed().as_nanos() as u64,
+        }
+    }
 }
 
 /// Per-cell static skip table for `--static-prune` campaigns.
@@ -169,6 +212,9 @@ pub enum CampaignError {
     /// The [`StaticPrune`] table was built for a different burst width
     /// than the campaign is configured to inject.
     PruneBurstMismatch { table: u8, campaign: u8 },
+    /// A per-instruction measurement was asked for zero trials per
+    /// instruction, which would leave every probability undefined.
+    NoTrials,
 }
 
 impl std::fmt::Display for CampaignError {
@@ -180,6 +226,7 @@ impl std::fmt::Display for CampaignError {
                 f,
                 "static-prune table built for burst {table}, campaign uses burst {campaign}"
             ),
+            CampaignError::NoTrials => write!(f, "zero FI trials per instruction"),
         }
     }
 }
@@ -416,10 +463,6 @@ fn campaign_impl(
         "sid map must cover every value-producing dynamic instruction"
     );
 
-    let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
-    let mut outcomes = vec![FaultOutcome::Benign; cfg.trials as usize];
-    let skipped = std::sync::atomic::AtomicU64::new(0);
-
     let run_trial = |t: u32| -> TrialReport {
         // Per-trial stream independent of scheduling. The fault is
         // sampled before the skip decision, so pruning never changes
@@ -433,7 +476,6 @@ fn campaign_impl(
         if let Some(p) = prune {
             let sid = sid_map[site as usize];
             if p.is_masked(sid, inj.bit) {
-                skipped.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 return TrialReport {
                     trial: t,
                     outcome: FaultOutcome::Benign,
@@ -458,83 +500,21 @@ fn campaign_impl(
         }
     };
 
-    if nthreads <= 1 {
-        for (t, slot) in outcomes.iter_mut().enumerate() {
-            let report = run_trial(t as u32);
-            report.emit(observer);
-            *slot = report.outcome;
-        }
-    } else {
-        let chunk = outcomes.len().div_ceil(nthreads);
-        // Bounded: a slow sink back-pressures workers instead of letting
-        // reports pile up without limit.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TrialReport>(1024);
-        let collected: Vec<TrialReport> = crossbeam::thread::scope(|s| {
-            for (ci, chunk_slice) in outcomes.chunks_mut(chunk).enumerate() {
-                let run_trial = &run_trial;
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    for (off, slot) in chunk_slice.iter_mut().enumerate() {
-                        let report = run_trial((ci * chunk + off) as u32);
-                        *slot = report.outcome;
-                        // The receiver outlives the scope; send only
-                        // fails if the collector was dropped, in which
-                        // case reporting is moot.
-                        let _ = tx.send(report);
-                    }
-                });
-            }
-            drop(tx);
-            // Drain on the scope's owning thread so the observer sees a
-            // single-threaded stream.
-            let mut all = Vec::with_capacity(cfg.trials as usize);
-            for report in rx.iter() {
-                report.emit(observer);
-                all.push(report);
-            }
-            all
-        })
-        .expect("campaign worker panicked");
-        debug_assert_eq!(collected.len(), cfg.trials as usize);
-    }
-
-    let mut sdc = 0;
-    let mut crash = 0;
-    let mut hang = 0;
-    let mut benign = 0;
-    for o in &outcomes {
-        match o {
-            FaultOutcome::Sdc => sdc += 1,
-            FaultOutcome::Crash => crash += 1,
-            FaultOutcome::Hang => hang += 1,
-            FaultOutcome::Benign => benign += 1,
-        }
-    }
-
-    observer.on_event(&Event::CampaignFinished {
-        trials: cfg.trials,
-        sdc,
-        crash,
-        hang,
-        benign,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
+    let reports = map_claimed(
+        cfg.trials as usize,
+        cfg.threads,
+        |t| run_trial(t as u32),
+        |r| r.emit(observer),
+    );
+    let skipped = reports.iter().filter(|r| r.skipped_sid.is_some()).count() as u64;
+    let campaign = CampaignResult::tally(
+        reports.iter().map(|r| r.outcome),
+        cfg.trials as u64 - skipped + 1,
+        golden.profile.dynamic,
+    );
+    observer.on_event(&campaign.finished_event(start));
     observer.flush();
-
-    let skipped = skipped.into_inner();
-    Ok(PrunedCampaignResult {
-        campaign: CampaignResult {
-            trials: cfg.trials,
-            sdc,
-            crash,
-            hang,
-            benign,
-            sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
-            executions: cfg.trials as u64 - skipped + 1,
-            golden_dynamic: golden.profile.dynamic,
-        },
-        skipped,
-    })
+    Ok(PrunedCampaignResult { campaign, skipped })
 }
 
 /// Configuration of the snapshot/fork engine of a
@@ -784,54 +764,19 @@ pub fn run_campaign_snapshotted_observed(
         }
     };
 
-    let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
-    let mut outcomes = vec![FaultOutcome::Benign; cfg.trials as usize];
-    if nthreads <= 1 {
-        for (t, slot) in outcomes.iter_mut().enumerate() {
-            let report = run_trial(t as u32);
-            report.emit(observer);
-            *slot = report.outcome;
-        }
-    } else {
-        let chunk = outcomes.len().div_ceil(nthreads);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TrialReport>(1024);
-        crossbeam::thread::scope(|s| {
-            for (ci, chunk_slice) in outcomes.chunks_mut(chunk).enumerate() {
-                let run_trial = &run_trial;
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    for (off, slot) in chunk_slice.iter_mut().enumerate() {
-                        let report = run_trial((ci * chunk + off) as u32);
-                        *slot = report.outcome;
-                        // The receiver outlives the scope; send only
-                        // fails if the collector was dropped, in which
-                        // case reporting is moot.
-                        let _ = tx.send(report);
-                    }
-                });
-            }
-            drop(tx);
-            // Drain on the scope's owning thread so the observer sees a
-            // single-threaded event stream.
-            for report in rx.iter() {
-                report.emit(observer);
-            }
-        })
-        .expect("snapshotted campaign worker panicked");
-    }
-
-    let mut sdc = 0;
-    let mut crash = 0;
-    let mut hang = 0;
-    let mut benign = 0;
-    for o in &outcomes {
-        match o {
-            FaultOutcome::Sdc => sdc += 1,
-            FaultOutcome::Crash => crash += 1,
-            FaultOutcome::Hang => hang += 1,
-            FaultOutcome::Benign => benign += 1,
-        }
-    }
+    let reports = map_claimed(
+        cfg.trials as usize,
+        cfg.threads,
+        |t| run_trial(t as u32),
+        |r| r.emit(observer),
+    );
+    // Same accounting as the classic runner: each trial measures one
+    // (partial) program execution, plus the golden run.
+    let campaign = CampaignResult::tally(
+        reports.iter().map(|r| r.outcome),
+        cfg.trials as u64 + 1,
+        golden.profile.dynamic,
+    );
 
     let stats = SnapshotStats {
         snapshots: snaps.len() as u32,
@@ -849,31 +794,9 @@ pub fn run_campaign_snapshotted_observed(
         converged_exits: stats.converged_exits,
         prefix_instrs_saved: stats.prefix_instrs_saved,
     });
-    observer.on_event(&Event::CampaignFinished {
-        trials: cfg.trials,
-        sdc,
-        crash,
-        hang,
-        benign,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
+    observer.on_event(&campaign.finished_event(start));
     observer.flush();
-
-    Ok(SnapshottedCampaignResult {
-        campaign: CampaignResult {
-            trials: cfg.trials,
-            sdc,
-            crash,
-            hang,
-            benign,
-            sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
-            // Same accounting as the classic runner: each trial measures
-            // one (partial) program execution, plus the golden run.
-            executions: cfg.trials as u64 + 1,
-            golden_dynamic: golden.profile.dynamic,
-        },
-        stats,
-    })
+    Ok(SnapshottedCampaignResult { campaign, stats })
 }
 
 /// Threshold policy for [`run_campaign_pruned_gated`]: pruning engages
@@ -1014,14 +937,6 @@ pub fn run_campaign_pruned_gated_observed(
         applied.then_some(prune),
     )?;
     Ok(GatedPrunedCampaignResult { result, decision })
-}
-
-pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let n = if requested == 0 { hw } else { requested };
-    n.clamp(1, work_items.max(1))
 }
 
 #[cfg(test)]

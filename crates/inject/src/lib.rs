@@ -13,15 +13,17 @@
 //!   per-instruction probabilities, 30 per representative in the pruned
 //!   distribution analysis.
 //!
-//! Campaigns are embarrassingly parallel; [`campaign::run_campaign`]
-//! fans trials out over scoped threads while keeping the per-trial RNG
-//! stream independent of the thread schedule, so results are bit-for-bit
+//! Campaigns are embarrassingly parallel; every runner fans its trials
+//! out through [`parallel::map_claimed`], whose workers claim trials by
+//! index and whose results are stored by index, while each trial's RNG
+//! stream depends only on `(seed, trial)` — so results are bit-for-bit
 //! reproducible at any parallelism level.
 
 pub mod campaign;
 pub mod flags;
 pub mod forkpoint;
 pub mod outcome;
+pub mod parallel;
 pub mod per_instr;
 pub mod propagation;
 pub mod provenance;
@@ -36,6 +38,7 @@ pub use campaign::{
 pub use flags::{validate_flags, FlagError, InjectMode};
 pub use forkpoint::{fork_point_for, plan_fork_points};
 pub use outcome::{classify, FaultOutcome};
+pub use parallel::map_claimed;
 pub use per_instr::{per_instruction_sdc, PerInstrConfig, PerInstrResult};
 pub use propagation::{generate_corpus, trace_propagation, CorpusEntry, PropagationTrace};
 pub use provenance::{

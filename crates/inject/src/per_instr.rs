@@ -8,8 +8,9 @@
 //! execute under the input, or that produce no value (stores, outputs,
 //! void calls), have no measurement.
 
-use crate::campaign::{effective_threads, golden_run, CampaignError};
+use crate::campaign::{golden_run, CampaignError};
 use crate::outcome::{classify, FaultOutcome};
+use crate::parallel::map_claimed;
 use peppa_ir::{InstrId, Module};
 use peppa_stats::Pcg64;
 use peppa_vm::{ExecLimits, Injection, InjectionTarget, Vm};
@@ -72,7 +73,9 @@ impl PerInstrResult {
 }
 
 /// Measures SDC probability for the given instructions (or for every
-/// measurable instruction if `subset` is `None`).
+/// measurable instruction if `subset` is `None`). Zero
+/// `trials_per_instr` is rejected with [`CampaignError::NoTrials`]: an
+/// instruction measured by no trial has no probability.
 pub fn per_instruction_sdc(
     module: &Module,
     inputs: &[f64],
@@ -80,6 +83,9 @@ pub fn per_instruction_sdc(
     cfg: PerInstrConfig,
     subset: Option<&[InstrId]>,
 ) -> Result<PerInstrResult, CampaignError> {
+    if cfg.trials_per_instr == 0 {
+        return Err(CampaignError::NoTrials);
+    }
     let golden = golden_run(module, inputs, limits)?;
 
     // Which instructions have a result value?
@@ -133,26 +139,7 @@ pub fn per_instruction_sdc(
         sdc as f64 / cfg.trials_per_instr as f64
     };
 
-    let nthreads = effective_threads(cfg.threads, work.len());
-    let mut measured: Vec<f64> = vec![0.0; work.len()];
-    if nthreads <= 1 {
-        for (i, sid) in work.iter().enumerate() {
-            measured[i] = measure_one(*sid);
-        }
-    } else {
-        let chunk = work.len().div_ceil(nthreads);
-        crossbeam::thread::scope(|s| {
-            for (slice_ids, slice_out) in work.chunks(chunk).zip(measured.chunks_mut(chunk)) {
-                let measure_one = &measure_one;
-                s.spawn(move |_| {
-                    for (sid, out) in slice_ids.iter().zip(slice_out.iter_mut()) {
-                        *out = measure_one(*sid);
-                    }
-                });
-            }
-        })
-        .expect("per-instruction worker panicked");
-    }
+    let measured = map_claimed(work.len(), cfg.threads, |i| measure_one(work[i]), |_| {});
 
     let mut sdc_prob = vec![None; module.num_instrs];
     for (sid, p) in work.iter().zip(&measured) {
@@ -248,6 +235,16 @@ mod tests {
         let a = per_instruction_sdc(&m, &[10.0], ExecLimits::default(), mk(1), None).unwrap();
         let b = per_instruction_sdc(&m, &[10.0], ExecLimits::default(), mk(4), None).unwrap();
         assert_eq!(a.sdc_prob, b.sdc_prob);
+    }
+
+    #[test]
+    fn zero_trials_is_a_typed_error() {
+        let cfg = PerInstrConfig {
+            trials_per_instr: 0,
+            ..Default::default()
+        };
+        let r = per_instruction_sdc(&module(), &[10.0], ExecLimits::default(), cfg, None);
+        assert!(matches!(r, Err(CampaignError::NoTrials)), "{r:?}");
     }
 
     #[test]

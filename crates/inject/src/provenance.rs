@@ -16,14 +16,15 @@
 //! to [`crate::run_campaign`] at every thread count.
 
 use crate::campaign::{
-    effective_threads, golden_run_on, sample_fault_burst, CampaignConfig, CampaignError,
-    CampaignResult, SnapshotConfig, SnapshotStats,
+    golden_run_on, sample_fault_burst, CampaignConfig, CampaignError, CampaignResult,
+    SnapshotConfig, SnapshotStats,
 };
 use crate::forkpoint::{fork_point_for, plan_fork_points};
 use crate::outcome::{classify, FaultOutcome};
+use crate::parallel::map_claimed;
 use peppa_ir::{Instr, Module};
 use peppa_obs::{Event, NullObserver, Observer, Span};
-use peppa_stats::{binomial_ci, ci::Z_95, Pcg64};
+use peppa_stats::Pcg64;
 use peppa_vm::{
     encode_inputs, CompiledModule, Engine, EngineKind, ExecHook, ExecLimits, InjectionTarget,
     TaintHook, TaintReport, Vm,
@@ -89,31 +90,27 @@ impl ExecHook for SidMapHook {
 }
 
 struct TracedReport {
-    trial: u32,
-    outcome: FaultOutcome,
-    site: u64,
-    bit: u32,
-    sid: u32,
+    trial: TracedTrial,
     latency_ns: u64,
-    report: TaintReport,
 }
 
 impl TracedReport {
     fn emit(&self, observer: &dyn Observer) {
+        let t = &self.trial;
         observer.on_event(&Event::TrialFinished {
-            trial: self.trial,
-            outcome: self.outcome.into(),
-            site: self.site,
-            bit: self.bit,
+            trial: t.trial,
+            outcome: t.outcome.into(),
+            site: t.site,
+            bit: t.bit,
             latency_ns: self.latency_ns,
         });
-        let r = &self.report;
+        let r = &t.report;
         observer.on_event(&Event::TrialProvenance {
-            trial: self.trial,
-            outcome: self.outcome.into(),
-            site: self.site,
-            bit: self.bit,
-            sid: self.sid,
+            trial: t.trial,
+            outcome: t.outcome.into(),
+            site: t.site,
+            bit: t.bit,
+            sid: t.sid,
             seeded: r.seeded,
             propagated: r.propagated(),
             sink: r.first_sink.map(|s| s.kind.as_str().to_string()),
@@ -211,108 +208,47 @@ pub fn run_campaign_traced_observed(
         let faulty = eng.run_with_hook(&bits, Some(inj), &mut hook);
         let latency_ns = t0.elapsed().as_nanos() as u64;
         TracedReport {
-            trial: t,
-            outcome: classify(&golden, &faulty),
-            site,
-            bit: inj.bit,
-            sid: sid_map[site as usize],
+            trial: TracedTrial {
+                trial: t,
+                outcome: classify(&golden, &faulty),
+                site,
+                bit: inj.bit,
+                sid: sid_map[site as usize],
+                report: hook.finish(),
+            },
             latency_ns,
-            report: hook.finish(),
         }
     };
 
-    let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
-    let mut reports: Vec<Option<TracedReport>> = Vec::with_capacity(cfg.trials as usize);
-    {
-        let _span = Span::enter(observer, "trials");
-        if nthreads <= 1 {
-            for t in 0..cfg.trials {
-                let r = run_trial(t);
-                r.emit(observer);
-                reports.push(Some(r));
-            }
-        } else {
-            reports.resize_with(cfg.trials as usize, || None);
-            let chunk = reports.len().div_ceil(nthreads);
-            let (tx, rx) = std::sync::mpsc::sync_channel::<TracedReport>(1024);
-            crossbeam::thread::scope(|s| {
-                for (ci, _) in (0..cfg.trials as usize).step_by(chunk).enumerate() {
-                    let run_trial = &run_trial;
-                    let tx = tx.clone();
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(cfg.trials as usize);
-                    s.spawn(move |_| {
-                        for t in lo..hi {
-                            // The receiver outlives the scope; send only
-                            // fails if the collector was dropped, in
-                            // which case reporting is moot.
-                            let _ = tx.send(run_trial(t as u32));
-                        }
-                    });
-                }
-                drop(tx);
-                // Drain on the scope's owning thread so the observer
-                // sees a single-threaded event stream.
-                for r in rx.iter() {
-                    r.emit(observer);
-                    let slot = r.trial as usize;
-                    reports[slot] = Some(r);
-                }
-            })
-            .expect("traced campaign worker panicked");
-        }
-    }
-    let trials: Vec<TracedTrial> = reports
-        .into_iter()
-        .map(|r| {
-            let r = r.expect("every trial reported");
-            TracedTrial {
-                trial: r.trial,
-                outcome: r.outcome,
-                site: r.site,
-                bit: r.bit,
-                sid: r.sid,
-                report: r.report,
-            }
-        })
-        .collect();
-
-    let mut sdc = 0;
-    let mut crash = 0;
-    let mut hang = 0;
-    let mut benign = 0;
-    for t in &trials {
-        match t.outcome {
-            FaultOutcome::Sdc => sdc += 1,
-            FaultOutcome::Crash => crash += 1,
-            FaultOutcome::Hang => hang += 1,
-            FaultOutcome::Benign => benign += 1,
-        }
-    }
-
-    observer.on_event(&Event::CampaignFinished {
-        trials: cfg.trials,
-        sdc,
-        crash,
-        hang,
-        benign,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
+    let trials = run_traced_trials(cfg.trials, cfg.threads, run_trial, observer);
+    let campaign = CampaignResult::tally(
+        trials.iter().map(|t| t.outcome),
+        cfg.trials as u64 + 1,
+        golden.profile.dynamic,
+    );
+    observer.on_event(&campaign.finished_event(start));
     observer.flush();
+    Ok(TracedCampaignResult { campaign, trials })
+}
 
-    Ok(TracedCampaignResult {
-        campaign: CampaignResult {
-            trials: cfg.trials,
-            sdc,
-            crash,
-            hang,
-            benign,
-            sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
-            executions: cfg.trials as u64 + 1,
-            golden_dynamic: golden.profile.dynamic,
-        },
-        trials,
-    })
+/// Runs every trial of a traced campaign under a `trials` span, emitting
+/// each trial's events on the calling thread; `trials[t]` is trial `t`.
+fn run_traced_trials(
+    trials: u32,
+    threads: usize,
+    run_trial: impl Fn(u32) -> TracedReport + Sync,
+    observer: &dyn Observer,
+) -> Vec<TracedTrial> {
+    let _span = Span::enter(observer, "trials");
+    map_claimed(
+        trials as usize,
+        threads,
+        |t| run_trial(t as u32),
+        |r| r.emit(observer),
+    )
+    .into_iter()
+    .map(|r| r.trial)
+    .collect()
 }
 
 /// A [`TracedCampaignResult`] plus the snapshot engine's accounting.
@@ -463,84 +399,24 @@ pub fn run_campaign_snapshotted_traced_observed(
             }
         };
         TracedReport {
-            trial: t,
-            outcome: classify(&golden, &faulty),
-            site,
-            bit: inj.bit,
-            sid: sid_map[site as usize],
+            trial: TracedTrial {
+                trial: t,
+                outcome: classify(&golden, &faulty),
+                site,
+                bit: inj.bit,
+                sid: sid_map[site as usize],
+                report,
+            },
             latency_ns: t0.elapsed().as_nanos() as u64,
-            report,
         }
     };
 
-    let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
-    let mut reports: Vec<Option<TracedReport>> = Vec::with_capacity(cfg.trials as usize);
-    {
-        let _span = Span::enter(observer, "trials");
-        if nthreads <= 1 {
-            for t in 0..cfg.trials {
-                let r = run_trial(t);
-                r.emit(observer);
-                reports.push(Some(r));
-            }
-        } else {
-            reports.resize_with(cfg.trials as usize, || None);
-            let chunk = reports.len().div_ceil(nthreads);
-            let (tx, rx) = std::sync::mpsc::sync_channel::<TracedReport>(1024);
-            crossbeam::thread::scope(|s| {
-                for (ci, _) in (0..cfg.trials as usize).step_by(chunk).enumerate() {
-                    let run_trial = &run_trial;
-                    let tx = tx.clone();
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(cfg.trials as usize);
-                    s.spawn(move |_| {
-                        for t in lo..hi {
-                            // The receiver outlives the scope; send only
-                            // fails if the collector was dropped, in
-                            // which case reporting is moot.
-                            let _ = tx.send(run_trial(t as u32));
-                        }
-                    });
-                }
-                drop(tx);
-                // Drain on the scope's owning thread so the observer
-                // sees a single-threaded event stream.
-                for r in rx.iter() {
-                    r.emit(observer);
-                    let slot = r.trial as usize;
-                    reports[slot] = Some(r);
-                }
-            })
-            .expect("snapshotted traced campaign worker panicked");
-        }
-    }
-    let trials: Vec<TracedTrial> = reports
-        .into_iter()
-        .map(|r| {
-            let r = r.expect("every trial reported");
-            TracedTrial {
-                trial: r.trial,
-                outcome: r.outcome,
-                site: r.site,
-                bit: r.bit,
-                sid: r.sid,
-                report: r.report,
-            }
-        })
-        .collect();
-
-    let mut sdc = 0;
-    let mut crash = 0;
-    let mut hang = 0;
-    let mut benign = 0;
-    for t in &trials {
-        match t.outcome {
-            FaultOutcome::Sdc => sdc += 1,
-            FaultOutcome::Crash => crash += 1,
-            FaultOutcome::Hang => hang += 1,
-            FaultOutcome::Benign => benign += 1,
-        }
-    }
+    let trials = run_traced_trials(cfg.trials, cfg.threads, run_trial, observer);
+    let campaign = CampaignResult::tally(
+        trials.iter().map(|t| t.outcome),
+        cfg.trials as u64 + 1,
+        golden.profile.dynamic,
+    );
 
     let stats = SnapshotStats {
         snapshots: snaps.len() as u32,
@@ -558,30 +434,10 @@ pub fn run_campaign_snapshotted_traced_observed(
         converged_exits: stats.converged_exits,
         prefix_instrs_saved: stats.prefix_instrs_saved,
     });
-    observer.on_event(&Event::CampaignFinished {
-        trials: cfg.trials,
-        sdc,
-        crash,
-        hang,
-        benign,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
+    observer.on_event(&campaign.finished_event(start));
     observer.flush();
-
     Ok(SnapshottedTracedCampaignResult {
-        traced: TracedCampaignResult {
-            campaign: CampaignResult {
-                trials: cfg.trials,
-                sdc,
-                crash,
-                hang,
-                benign,
-                sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
-                executions: cfg.trials as u64 + 1,
-                golden_dynamic: golden.profile.dynamic,
-            },
-            trials,
-        },
+        traced: TracedCampaignResult { campaign, trials },
         stats,
     })
 }

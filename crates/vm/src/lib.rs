@@ -19,7 +19,7 @@
 //!
 //! Two execution engines sit behind the same observables: the
 //! tree-walking interpreter ([`Vm`], the semantic reference) and the
-//! compiled threaded-bytecode backend ([`CompiledVm`], ~10× faster,
+//! compiled threaded-bytecode backend ([`CompiledVm`], 3.1–7.6× faster,
 //! differentially tested bit-exact). [`Engine`] is the seam callers
 //! select one through; [`CompiledModule::lower`] is the one-time
 //! translation.

@@ -12,7 +12,8 @@
 //!                pass pipeline for the level and exits
 //! peppa run      prog.mc --input 8,2.5 [--profile] golden run + profile
 //!                [--engine interp|compiled] selects the execution
-//!                backend (bit-identical; compiled is ~10x faster)
+//!                backend (bit-identical; compiled measured 3.1-7.6x
+//!                faster across the benchmarks in BENCH_baseline.json)
 //! peppa inject   prog.mc --input 8,2.5 [--trials 1000] [--seed 1]
 //!                [--threads N] [--static-prune] [--trace-propagation]
 //!                [--snapshots K] [--engine interp|compiled]
@@ -57,8 +58,9 @@
 //! journal, `--metrics-out FILE.json` writes a metrics snapshot on exit,
 //! `--chrome-trace FILE.json` writes a Chrome trace-event file (open it
 //! in Perfetto or `chrome://tracing`), `--quiet` suppresses the live
-//! progress line, `--threads N` sets the FI worker count (0 = all
-//! cores).
+//! progress line, `--threads N` sets the worker count of the FI
+//! campaigns and of `search`'s fitness runs (0 = all cores; results do
+//! not depend on it).
 //!
 //! Every subcommand accepts `--opt-level N` (or `-O0`/`-O1`/`-O2`): the
 //! module is run through the analysis-driven rewrite engine before the
